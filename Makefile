@@ -67,8 +67,8 @@ crashcheck:
 vantagecheck:
 	$(GO) test -run=TestVantageCheck -count=1 .
 
-# Short fuzz smoke of the rank-bucketing, interner, fault-plan, and sketch
-# targets (seeds + 10s each).
+# Short fuzz smoke of the rank-bucketing, interner, fault-plan, histogram,
+# sketch and HLL-kernel targets (seeds + 10s each).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScaledMagnitudes -fuzztime=10s ./internal/rank
 	$(GO) test -run=^$$ -fuzz=FuzzBucketer -fuzztime=10s ./internal/rank
@@ -78,6 +78,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzCountMin -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSpaceSaving -fuzztime=10s ./internal/sketch
 	$(GO) test -run=^$$ -fuzz=FuzzSketchMerge -fuzztime=10s ./internal/sketch
+	$(GO) test -run=^$$ -fuzz=FuzzHLLKernels -fuzztime=10s ./internal/sketch
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -250,9 +250,11 @@ type Pipeline struct {
 	distinct []map[int32]sketch.Distinct // combo -> site -> counter (unique aggs)
 
 	// Sketch-mode state (see sketchmode.go): bounded summaries replacing
-	// the exact arrays. dayState accumulates the barrier's shard merges,
-	// botState the day's bot batches (merged last at EndDay).
+	// the exact arrays. pending queues the day's shard states in merge
+	// order, dayState accumulates their merges at EndDay, botState the
+	// day's bot batches (merged last).
 	sk       sketch.Config
+	pending  []*pipelineShard
 	dayState *pipelineShard
 	botState *pipelineShard
 	shardMem int
@@ -456,7 +458,7 @@ func (p *Pipeline) addDistinct(combo int, site int32, key uint64) {
 // EndDay implements traffic.Sink: it freezes the day's ranked lists.
 func (p *Pipeline) EndDay(day int) {
 	if p.sk.Enabled {
-		p.endDaySketch(day)
+		p.endDaySketch(1)
 		return
 	}
 	lists := make([][]int32, len(p.combos))

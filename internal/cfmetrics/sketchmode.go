@@ -2,6 +2,8 @@ package cfmetrics
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"toplists/internal/sketch"
 	"toplists/internal/traffic"
@@ -15,6 +17,13 @@ import (
 // barrier merges shard summaries in canonical order; bot batches accumulate
 // in a dedicated summary that EndDay merges last, so every summary's adds
 // precede its merges and the space-saving N/k bounds hold.
+//
+// The barrier work itself — the shard merges and the ranking — runs in
+// EndDay, one task per combo: combos own disjoint summaries, so each task
+// merges its combo's shard states in ascending shard order, then the bot
+// state, then ranks, and the tasks may run concurrently (EndDayWorkers).
+// MergeShard only queues the state, which the engine leaves untouched
+// until EndDay returns.
 //
 // The published day list is the merged candidate set ranked by
 // min(space-saving count, count-min estimate) — both are overestimates, so
@@ -109,15 +118,13 @@ func (sh *pipelineShard) onBotBatch(bb *traffic.BotBatch) {
 	}
 }
 
-// merge folds another shard's summaries into this one.
-func (sh *pipelineShard) merge(o *pipelineShard) {
-	for i := range sh.p.combos {
-		if sh.ss[i] != nil {
-			sh.ss[i].Merge(o.ss[i], nil)
-			sh.cm[i].Merge(o.cm[i])
-		} else {
-			sh.tkd[i].Merge(o.tkd[i])
-		}
+// mergeCombo folds another shard's summaries of combo i into this one.
+func (sh *pipelineShard) mergeCombo(i int, o *pipelineShard) {
+	if sh.ss[i] != nil {
+		sh.ss[i].Merge(o.ss[i], nil)
+		sh.cm[i].Merge(o.cm[i])
+	} else {
+		sh.tkd[i].Merge(o.tkd[i])
 	}
 }
 
@@ -167,49 +174,36 @@ func (p *Pipeline) NewShardState() traffic.ShardState {
 	return p.newPipelineShard()
 }
 
-// MergeShard implements traffic.ShardedSink: fold one logical shard's
-// summaries into the day state. Called in ascending shard order.
+// MergeShard implements traffic.ShardedSink: queue one logical shard's
+// summaries for the day's barrier. Called in ascending shard order.
 func (p *Pipeline) MergeShard(st traffic.ShardState) {
 	sh := st.(*pipelineShard)
 	p.shardMem += sh.memBytes()
-	p.dayState.merge(sh)
+	p.pending = append(p.pending, sh)
 }
 
-// endDaySketch freezes the day's ranked lists from the merged summaries.
-func (p *Pipeline) endDaySketch(day int) {
-	p.dayState.merge(p.botState)
+// EndDayWorkers implements traffic.ParallelBarrierSink: EndDay, with the
+// sketch-mode barrier fanned out over up to workers goroutines.
+func (p *Pipeline) EndDayWorkers(day, workers int) {
+	if !p.sk.Enabled {
+		p.EndDay(day)
+		return
+	}
+	p.endDaySketch(workers)
+}
 
+// endDaySketch merges the queued shard summaries and freezes the day's
+// ranked lists, one combo per task on up to workers goroutines. Every
+// combo merges in the same order at any width, and rankScored's order is
+// total, so the lists do not depend on workers.
+func (p *Pipeline) endDaySketch(workers int) {
 	lists := make([][]int32, len(p.combos))
-	var entries []sketch.Entry
-	for i, c := range p.combos {
-		entries = entries[:0]
-		var scored []scoredSite
-		if c.Agg == AggCount {
-			entries = p.dayState.ss[i].Entries(entries)
-			for _, e := range entries {
-				v := e.Count
-				if est := p.dayState.cm[i].Estimate(e.Key); est < v {
-					v = est
-				}
-				if v > 0 {
-					scored = append(scored, scoredSite{int32(uint32(e.Key)), float64(v)})
-				}
-			}
-			if b := p.dayState.cm[i].ErrorBound(); b > p.errBound {
-				p.errBound = b
-			}
-		} else {
-			entries = p.dayState.tkd[i].Entries(entries)
-			for _, e := range entries {
-				// Round the distinct estimate so equal-true-count tie
-				// groups re-form and the shared tiebreak orders them
-				// exactly as the exact path would.
-				if v := math.Round(p.dayState.tkd[i].DistinctAt(e.Slot)); v > 0 {
-					scored = append(scored, scoredSite{int32(uint32(e.Key)), v})
-				}
-			}
-		}
-		lists[i] = rankScored(scored)
+	bounds := make([]uint64, len(p.combos))
+	forEachIndex(len(p.combos), workers, func(i int) {
+		lists[i], bounds[i] = p.closeCombo(i)
+	})
+	for _, b := range bounds {
+		p.errBound = max(p.errBound, b)
 	}
 	p.days = append(p.days, lists)
 
@@ -217,8 +211,81 @@ func (p *Pipeline) endDaySketch(day int) {
 		p.memPeak = m
 	}
 	p.shardMem = 0
+	clear(p.pending)
+	p.pending = p.pending[:0]
 	p.dayState.Reset()
 	p.botState.Reset()
+}
+
+// closeCombo merges combo i's queued shard summaries and then its bot
+// summary into the day state, and ranks the result. It returns the ranked
+// list and, for count aggregations, the merged count-min error bound. It
+// touches only combo i's summaries.
+func (p *Pipeline) closeCombo(i int) ([]int32, uint64) {
+	ds := p.dayState
+	for _, sh := range p.pending {
+		ds.mergeCombo(i, sh)
+	}
+	ds.mergeCombo(i, p.botState)
+
+	var scored []scoredSite
+	if p.combos[i].Agg == AggCount {
+		for _, e := range ds.ss[i].Entries(nil) {
+			v := e.Count
+			if est := ds.cm[i].Estimate(e.Key); est < v {
+				v = est
+			}
+			if v > 0 {
+				scored = append(scored, scoredSite{int32(uint32(e.Key)), float64(v)})
+			}
+		}
+		return rankScored(scored), ds.cm[i].ErrorBound()
+	}
+	for _, e := range ds.tkd[i].Entries(nil) {
+		// Round the distinct estimate so equal-true-count tie groups
+		// re-form and the shared tiebreak orders them exactly as the
+		// exact path would.
+		if v := math.Round(ds.tkd[i].DistinctAt(e.Slot)); v > 0 {
+			scored = append(scored, scoredSite{int32(uint32(e.Key)), v})
+		}
+	}
+	return rankScored(scored), 0
+}
+
+// forEachIndex calls fn(i) for every i in [0, n) on up to workers
+// goroutines, pulling indices from a shared counter; with workers <= 1 it
+// calls them in order on the caller's goroutine. A panic in fn is re-raised
+// on the caller's goroutine after every task has stopped.
+func forEachIndex(n, workers int, fn func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicked atomic.Pointer[any]
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					panicked.CompareAndSwap(nil, &v)
+				}
+			}()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if v := panicked.Load(); v != nil {
+		panic(*v)
+	}
 }
 
 // SketchMemPeak returns the high-water logical footprint of all sketch

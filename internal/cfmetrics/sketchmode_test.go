@@ -1,6 +1,8 @@
 package cfmetrics
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"toplists/internal/sketch"
@@ -13,9 +15,16 @@ import (
 // both the engine and the pipeline.
 func runSketchPipeline(t testing.TB, combos []Combo, days int) *Pipeline {
 	t.Helper()
+	return runSketchPipelineWith(t, combos, days, sketch.Config{Enabled: true}, 0)
+}
+
+// runSketchPipelineWith runs a sketch-mode pipeline at the given sketch
+// sizing and engine worker count (which is also the barrier width).
+func runSketchPipelineWith(t testing.TB, combos []Combo, days int, cfg sketch.Config, workers int) *Pipeline {
+	t.Helper()
 	w := world.Generate(world.Config{Seed: 21, NumSites: 2000})
-	sk := sketch.Config{Enabled: true}.WithDefaults()
-	e := traffic.NewEngine(w, traffic.Config{Seed: 22, NumClients: 500, Days: days, Sketch: sk})
+	sk := cfg.WithDefaults()
+	e := traffic.NewEngine(w, traffic.Config{Seed: 22, NumClients: 500, Days: days, Sketch: sk, Workers: workers})
 	p := NewPipeline(w, combos, nil)
 	p.SetSketch(sk)
 	e.AddSink(p)
@@ -112,4 +121,64 @@ func TestSketchShardHotPathZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("sketch shard OnPageLoad allocates %.1f objects per event", allocs)
 	}
+}
+
+// The engine fans the pipeline's barrier out only through this interface.
+var _ traffic.ParallelBarrierSink = (*Pipeline)(nil)
+
+// TestSketchBarrierWidthDeterminism: the per-combo barrier fan-out must not
+// change a single list entry or the error bound. With a small space-saving
+// capacity the shard merges evict, so merge order matters; width 1 is the
+// serial oracle. Under -race this is also the fan-out's race check.
+func TestSketchBarrierWidthDeterminism(t *testing.T) {
+	const days = 2
+	cfg := sketch.Config{Enabled: true, TopK: 64}
+	serial := runSketchPipelineWith(t, AllCombos(), days, cfg, 1)
+	wide := runSketchPipelineWith(t, AllCombos(), days, cfg, 4)
+	if serial.SketchErrorBound() == 0 {
+		t.Fatal("serial run recorded no count-min error bound")
+	}
+	if a, b := serial.SketchErrorBound(), wide.SketchErrorBound(); a != b {
+		t.Errorf("SketchErrorBound: width 1 %d, width 4 %d", a, b)
+	}
+	if a, b := serial.SketchMemPeak(), wide.SketchMemPeak(); a != b {
+		t.Errorf("SketchMemPeak: width 1 %d, width 4 %d", a, b)
+	}
+	for d := 0; d < days; d++ {
+		for _, c := range AllCombos() {
+			a, b := serial.DayList(d, c), wide.DayList(d, c)
+			if len(a) == 0 {
+				t.Fatalf("%v day %d: empty list", c, d)
+			}
+			if !slices.Equal(a, b) {
+				t.Fatalf("%v day %d: lists differ between barrier width 1 (%d sites) and 4 (%d sites)",
+					c, d, len(a), len(b))
+			}
+		}
+	}
+}
+
+// TestForEachIndex: every index runs exactly once at any width, and a
+// panicking task resurfaces on the caller's goroutine.
+func TestForEachIndex(t *testing.T) {
+	for _, workers := range []int{0, 1, 3, 64} {
+		var hits [37]atomic.Int32
+		forEachIndex(len(hits), workers, func(i int) { hits[i].Add(1) })
+		for i := range hits {
+			if n := hits[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)
+			}
+		}
+	}
+	defer func() {
+		if v := recover(); v != "task 5" {
+			t.Fatalf("recovered %v, want the task's panic", v)
+		}
+	}()
+	forEachIndex(10, 4, func(i int) {
+		if i == 5 {
+			panic("task 5")
+		}
+	})
+	t.Fatal("forEachIndex returned normally after a task panicked")
 }

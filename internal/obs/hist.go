@@ -92,14 +92,19 @@ func (h *Histogram) Sum() time.Duration {
 	return time.Duration(h.sum.Load())
 }
 
-// quantile returns the approximate q-quantile (0..1) as the upper bound of
-// the bucket where the cumulative count crosses q.
+// quantile returns the approximate q-quantile (0..1): the upper bound of
+// the bucket where the cumulative count crosses q, clamped to the recorded
+// [min, max]. For positive durations it is at most a factor of two above
+// the true quantile and never outside the observed range.
 func (h *Histogram) quantile(q float64) int64 {
-	return bucketQuantile(h.count.Load(), &h.buckets, q)
+	v := bucketQuantile(h.count.Load(), &h.buckets, q)
+	return min(max(v, h.min.Load()), h.max.Load())
 }
 
 // bucketQuantile is the shared quantile kernel for Histogram and Phase:
 // the upper bound of the log2 bucket where the cumulative count crosses q.
+// Callers clamp it to their recorded range, since a bucket's upper bound
+// can lie above every observation in it.
 func bucketQuantile(total int64, buckets *[NumBuckets]atomic.Int64, q float64) int64 {
 	if total == 0 {
 		return 0
@@ -149,9 +154,11 @@ func (p *Phase) Record(d time.Duration) {
 	}
 }
 
-// quantile returns the approximate q-quantile of recorded spans.
+// quantile returns the approximate q-quantile of recorded spans, clamped
+// to the longest span (a bucket's upper bound is never below the spans in
+// it, so only the top needs clamping).
 func (p *Phase) quantile(q float64) int64 {
-	return bucketQuantile(p.count.Load(), &p.buckets, q)
+	return min(bucketQuantile(p.count.Load(), &p.buckets, q), p.maxNS.Load())
 }
 
 // Total returns the accumulated wall time (0 on nil).

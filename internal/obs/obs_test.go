@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,62 @@ func TestHistogramStats(t *testing.T) {
 	}
 	if ds.P50NS <= 0 || ds.P50NS > int64(2*time.Millisecond) {
 		t.Errorf("p50 = %d, want within a bucket of 1ms", ds.P50NS)
+	}
+}
+
+// TestQuantilesWithinRange pins the stated quantile error: every reported
+// histogram quantile lies in [min, max], and so does every phase quantile
+// (below its max); for positive durations each is at least the true
+// quantile and less than twice it. Bucket upper bounds alone break the
+// range for a single sample (1500ns reported as 2047ns) and for any
+// distribution whose max sits low in its bucket.
+func TestQuantilesWithinRange(t *testing.T) {
+	dists := map[string][]time.Duration{
+		"single":    {1500},
+		"constant":  {3000, 3000, 3000, 3000},
+		"tight":     {1025, 1030, 1040, 1050, 1100},
+		"uniform":   nil,
+		"geometric": nil,
+		"bimodal":   {10, 11, 12, 13, 900_000, 950_000, 990_000},
+	}
+	for i := 1; i <= 1000; i++ {
+		dists["uniform"] = append(dists["uniform"], time.Duration(i*997))
+	}
+	for d := time.Duration(3); d < time.Second; d = d*3 + 1 {
+		dists["geometric"] = append(dists["geometric"], d)
+	}
+	for name, obsv := range dists {
+		r := NewRegistry()
+		h, p := r.Histogram("h"), r.Phase("p")
+		for _, d := range obsv {
+			h.Observe(d)
+			p.Record(d)
+		}
+		sorted := slices.Clone(obsv)
+		slices.Sort(sorted)
+		lo, hi := int64(sorted[0]), int64(sorted[len(sorted)-1])
+		trueQ := func(q float64) int64 {
+			return int64(sorted[min(int(q*float64(len(sorted))), len(sorted)-1)])
+		}
+		rep := r.Snapshot()
+		ds, ps := rep.Durations["h"], rep.Phases["p"]
+		check := func(kind string, q float64, got int64) {
+			t.Helper()
+			if got < lo || got > hi {
+				t.Errorf("%s %s p%.0f = %d, outside [%d, %d]", name, kind, q*100, got, lo, hi)
+			}
+			if want := trueQ(q); got < want || got >= 2*want {
+				t.Errorf("%s %s p%.0f = %d, true quantile %d (want within [x, 2x))", name, kind, q*100, got, want)
+			}
+		}
+		check("histogram", 0.50, ds.P50NS)
+		check("histogram", 0.90, ds.P90NS)
+		check("histogram", 0.99, ds.P99NS)
+		check("phase", 0.50, ps.P50NS)
+		check("phase", 0.99, ps.P99NS)
+		if !(ds.P50NS <= ds.P90NS && ds.P90NS <= ds.P99NS && ps.P50NS <= ps.P99NS) {
+			t.Errorf("%s: quantiles not monotone: %+v %+v", name, ds, ps)
+		}
 	}
 }
 

@@ -40,8 +40,9 @@ type Report struct {
 	Phases    map[string]PhaseStats    `json:"phases,omitempty"`
 }
 
-// DurationStats summarizes one histogram. Quantiles are bucket upper
-// bounds (log2 buckets), so they are order-of-magnitude accurate.
+// DurationStats summarizes one histogram. Quantiles are log2 bucket upper
+// bounds clamped to [MinNS, MaxNS]: for positive durations each is at most
+// a factor of two above the true quantile.
 type DurationStats struct {
 	Count   int64 `json:"count"`
 	TotalNS int64 `json:"total_ns"`
@@ -53,7 +54,8 @@ type DurationStats struct {
 }
 
 // PhaseStats summarizes one phase's spans. P50/P99 are log2 bucket upper
-// bounds, like DurationStats.
+// bounds clamped to MaxNS, with the same factor-of-two error as
+// DurationStats.
 type PhaseStats struct {
 	Count   int64 `json:"count"`
 	TotalNS int64 `json:"total_ns"`

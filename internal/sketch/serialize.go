@@ -72,6 +72,10 @@ func DecodeDistinct(d *snapshot.Decoder) (Distinct, error) {
 		if p < 4 || p > 18 || len(regs) != 1<<p {
 			return nil, fmt.Errorf("%w: HLL precision %d with %d registers", snapshot.ErrCorrupt, p, len(regs))
 		}
+		// Add never sets a register above 65-p, and Merge relies on that.
+		if i := slices.IndexFunc(regs, func(r uint8) bool { return uint64(r) > 65-p }); i >= 0 {
+			return nil, fmt.Errorf("%w: HLL register %d is %d, above %d", snapshot.ErrCorrupt, i, regs[i], 65-p)
+		}
 		return &HLL{p: uint8(p), regs: regs}, nil
 	default:
 		if err := d.Err(); err != nil {

@@ -12,7 +12,11 @@
 // back to exact structures, the oracle the sketch path is tested against.
 package sketch
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+)
 
 // Distinct counts the approximate or exact number of distinct uint64 items.
 type Distinct interface {
@@ -87,24 +91,71 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// Add implements Distinct.
+// Add implements Distinct. rho is the 1-based position of the first set
+// bit after the index bits; the sentinel bit at p-1 bounds it by 65-p, so
+// every register stays below 0x80 (see Merge).
 func (h *HLL) Add(item uint64) {
 	x := mix(item)
 	idx := x >> (64 - h.p)
-	w := x<<h.p | 1<<(h.p-1) // ensure termination
-	rho := uint8(1)
-	for w&(1<<63) == 0 {
-		rho++
-		w <<= 1
-	}
+	w := x<<h.p | 1<<(h.p-1)
+	rho := uint8(bits.LeadingZeros64(w) + 1)
 	if rho > h.regs[idx] {
 		h.regs[idx] = rho
 	}
 }
 
 // Count implements Distinct.
+//
+// The harmonic sum of 2^-r is computed in integers: scaled by 2^(53-p),
+// each term is 1<<(53-p-r), and the total is at most 2^p·2^(53-p) = 2^53,
+// so it fits a uint64 and converts to float64 exactly. The term-by-term
+// float sum is itself exact under the same condition (every partial sum is
+// a multiple of 2^-(53-p) no larger than 2^p, hence representable), so both
+// give the same bits. A register above 53-p needs a run of 53-p zero hash
+// bits; should one occur, Count falls back to the float sum.
+//
+// The registers are first histogrammed by value (every register is at
+// most 65-p <= 61, so six bits index it), into four interleaved tables so
+// that runs of equal registers do not serialize on one counter; all-zero
+// words, the bulk of a lightly filled counter, are tallied whole.
 func (h *HLL) Count() float64 {
-	m := float64(len(h.regs))
+	var hist [4][64]uint32
+	var zeroWords uint32
+	regs := h.regs
+	for i := 0; i+8 <= len(regs); i += 8 {
+		w := regs[i : i+8]
+		if binary.LittleEndian.Uint64(w) == 0 {
+			zeroWords++
+			continue
+		}
+		hist[0][w[0]&63]++
+		hist[1][w[1]&63]++
+		hist[2][w[2]&63]++
+		hist[3][w[3]&63]++
+		hist[0][w[4]&63]++
+		hist[1][w[5]&63]++
+		hist[2][w[6]&63]++
+		hist[3][w[7]&63]++
+	}
+	hist[0][0] += 8 * zeroWords
+	shift := 53 - uint(h.p)
+	var isum uint64
+	for r := range 64 {
+		n := uint64(hist[0][r] + hist[1][r] + hist[2][r] + hist[3][r])
+		if n == 0 {
+			continue
+		}
+		if uint(r) > shift {
+			return h.countFloat()
+		}
+		isum += n << (shift - uint(r))
+	}
+	zeros := int(hist[0][0] + hist[1][0] + hist[2][0] + hist[3][0])
+	return h.estimate(math.Ldexp(float64(isum), -int(shift)), zeros)
+}
+
+// countFloat is Count with the harmonic sum taken term by term in float64.
+func (h *HLL) countFloat() float64 {
 	var sum float64
 	zeros := 0
 	for _, r := range h.regs {
@@ -113,6 +164,13 @@ func (h *HLL) Count() float64 {
 			zeros++
 		}
 	}
+	return h.estimate(sum, zeros)
+}
+
+// estimate turns the harmonic sum of 2^-r and the empty-register count
+// into the cardinality estimate.
+func (h *HLL) estimate(sum float64, zeros int) float64 {
+	m := float64(len(h.regs))
 	est := alpha(len(h.regs)) * m * m / sum
 	if est <= 2.5*m && zeros > 0 {
 		// Small-range correction: linear counting.
@@ -139,12 +197,27 @@ func (h *HLL) Merge(other Distinct) {
 	if !ok || o.p != h.p {
 		panic("sketch: merging incompatible HLLs")
 	}
-	for i, r := range o.regs {
-		if r > h.regs[i] {
-			h.regs[i] = r
+	// Register-wise maximum, eight registers per step. Registers are below
+	// 0x80 (rho <= 65-p), so in each byte lane (a|0x80)-b never borrows
+	// from its neighbour and keeps its high bit exactly when a >= b; that
+	// bit, spread over the lane, selects a or b. 2^p (p >= 4) registers
+	// are a whole number of words.
+	src, dst := o.regs, h.regs[:len(o.regs)]
+	for i := 0; i+8 <= len(src); i += 8 {
+		b := binary.LittleEndian.Uint64(src[i : i+8])
+		if b == 0 {
+			continue // common in lightly filled per-shard counters
 		}
+		d := dst[i : i+8]
+		a := binary.LittleEndian.Uint64(d)
+		ge := ((a | swarHigh) - b) & swarHigh
+		mask := (ge >> 7) * 0xff
+		binary.LittleEndian.PutUint64(d, a&mask|b&^mask)
 	}
 }
+
+// swarHigh has the high bit of every byte lane set.
+const swarHigh = 0x8080808080808080
 
 // Reset implements Distinct.
 func (h *HLL) Reset() { clear(h.regs) }

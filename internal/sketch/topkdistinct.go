@@ -70,31 +70,26 @@ func (t *TopKDistinct) Entries(dst []Entry) []Entry { return t.SS.Entries(dst) }
 // registers). o is not modified. Runs at the day barrier, so it may
 // allocate.
 func (t *TopKDistinct) Merge(o *TopKDistinct) {
-	mine := make(map[uint64]*HLL, t.SS.Len())
-	for _, e := range t.SS.Entries(nil) {
-		mine[e.Key] = t.payloads[e.Slot]
-	}
-	theirs := make(map[uint64]*HLL, o.SS.Len())
-	for _, e := range o.SS.Entries(nil) {
-		theirs[e.Key] = o.payloads[e.Slot]
-	}
-	t.SS.Merge(o.SS, nil)
-
-	t.payloads = make([]*HLL, t.SS.Len())
-	for _, e := range t.SS.Entries(nil) {
-		h := mine[e.Key]
-		if h == nil {
+	old := t.payloads
+	keep := t.SS.merge(o.SS, nil)
+	t.payloads = make([]*HLL, len(keep))
+	for i, e := range keep {
+		var h *HLL
+		if e.Slot >= 0 {
+			h, old[e.Slot] = old[e.Slot], nil
+		} else {
 			h = t.alloc()
 		}
-		if oh := theirs[e.Key]; oh != nil {
-			h.Merge(oh)
+		if os := o.SS.Slot(e.Key); os >= 0 {
+			h.Merge(o.payloads[os])
 		}
-		t.payloads[e.Slot] = h
-		delete(mine, e.Key)
+		t.payloads[i] = h
 	}
 	// Counters of dropped keys go back to the pool.
-	for _, h := range mine {
-		t.free = append(t.free, h)
+	for _, h := range old {
+		if h != nil {
+			t.free = append(t.free, h)
+		}
 	}
 }
 

@@ -610,10 +610,26 @@ func (e *Engine) runDay(ctx context.Context, d int) error {
 	if err != nil {
 		return err
 	}
+	sketched := e.Cfg.Sketch.Enabled
+	var barrierStart time.Time
+	if sketched {
+		barrierStart = time.Now()
+		e.mergeShards()
+	}
 	e.simulateBots(d, daySrc.Derive("bots"))
 
 	for _, s := range e.sinks {
-		s.EndDay(d)
+		if pb, ok := s.(ParallelBarrierSink); ok && sketched {
+			pb.EndDayWorkers(d, nw)
+		} else {
+			s.EndDay(d)
+		}
+	}
+	if sketched {
+		e.resetShards()
+		// The sketch-mode barrier: shard merges and replay, the day's
+		// bots, and every sink's end-of-day work.
+		e.metrics.tracer.Span("engine.barrier", "engine", int64(d), barrierStart, time.Since(barrierStart))
 	}
 	e.metrics.days.Inc()
 	dayDur := time.Since(dayStart)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"toplists/internal/obs"
+	"toplists/internal/sketch"
 	"toplists/internal/world"
 )
 
@@ -353,5 +354,53 @@ func benchEngineDay(b *testing.B, traced bool) {
 			b.StartTimer()
 		}
 		e.RunDay(e.Day())
+	}
+}
+
+// TestBarrierSpan: a traced sketch-mode run records exactly one
+// engine.barrier span per day, inside that day's engine.day span and
+// after every engine.shard span of the day; exact mode records none.
+func TestBarrierSpan(t *testing.T) {
+	w := world.Generate(world.Config{Seed: 1, NumSites: 600})
+	for _, sketched := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		tr := obs.NewTracer(0)
+		reg.SetTracer(tr)
+		e := NewEngine(w, Config{Seed: 2, NumClients: 120, Days: 3, Workers: 2,
+			Sketch: sketch.Config{Enabled: sketched}.WithDefaults()})
+		e.AddSink(&BaseSink{})
+		e.SetObs(reg)
+		e.Run()
+
+		days := map[int64]obs.Event{}
+		var barriers []obs.Event
+		for _, ev := range tr.Events() {
+			switch ev.Name {
+			case "engine.day":
+				days[ev.TID] = ev
+			case "engine.barrier":
+				barriers = append(barriers, ev)
+			}
+		}
+		if !sketched {
+			if len(barriers) != 0 {
+				t.Errorf("exact mode recorded %d engine.barrier spans", len(barriers))
+			}
+			continue
+		}
+		if len(barriers) != e.Cfg.Days {
+			t.Fatalf("recorded %d engine.barrier spans over %d days", len(barriers), e.Cfg.Days)
+		}
+		for _, b := range barriers {
+			day, ok := days[b.TID]
+			if !ok || b.TS < day.TS || b.TS+b.Dur > day.TS+day.Dur {
+				t.Errorf("barrier span %+v is not inside its engine.day span %+v", b, day)
+			}
+			for _, ev := range tr.Events() {
+				if ev.Name == "engine.shard" && ev.TS >= day.TS && ev.TS+ev.Dur <= day.TS+day.Dur && ev.TS+ev.Dur > b.TS {
+					t.Errorf("day %d: shard span ends after the barrier starts", b.TID)
+				}
+			}
+		}
 	}
 }

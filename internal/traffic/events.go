@@ -151,11 +151,24 @@ type ShardedSink interface {
 	Sink
 	// NewShardState returns a fresh, empty per-shard accumulator.
 	NewShardState() ShardState
-	// MergeShard folds a shard's summary into the sink's day state. Called
+	// MergeShard hands a shard's summary to the sink's day state. Called
 	// serially, in ascending logical-shard order, between the day's barrier
-	// and EndDay. The state remains owned by the engine (it is Reset and
-	// reused); implementations must copy or merge, not retain.
+	// and EndDay. The state remains owned by the engine, which leaves it
+	// untouched until every sink's EndDay has returned and then Resets it
+	// for reuse: an implementation may fold it in at once or keep the
+	// reference and fold it in EndDay, but must not keep it past EndDay.
 	MergeShard(st ShardState)
+}
+
+// ParallelBarrierSink is implemented by sharded sinks whose end-of-day
+// work splits into independent parts that may run concurrently. In sketch
+// mode the engine ends such a sink's day with EndDayWorkers instead of
+// EndDay, passing the day's resolved worker count; 1 (Config.Workers 1)
+// must keep the sink's barrier serial. Sink contents must not depend on
+// workers. Sinks still end their days one after another, in registration
+// order.
+type ParallelBarrierSink interface {
+	EndDayWorkers(day, workers int)
 }
 
 // BaseSink is a no-op Sink for embedding; observers override only the

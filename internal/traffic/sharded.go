@@ -59,9 +59,9 @@ func (e *Engine) ensureLogical(n int) {
 }
 
 // runDayClientsSharded simulates the day's clients over the fixed logical
-// shards and merges the resulting summaries at the barrier. nw bounds the
-// number of concurrent workers; every value of nw produces byte-identical
-// sink contents.
+// shards. nw bounds the number of concurrent workers; every value of nw
+// produces byte-identical shard states. The barrier (mergeShards, the
+// day's bots, EndDay, resetShards) follows in runDay.
 func (e *Engine) runDayClientsSharded(ctx context.Context, d int, weekend bool, daySrc *simrand.Source, nw int) error {
 	e.splitSinks()
 	shards := shardRanges(len(e.Clients), e.Cfg.Sketch.Shards)
@@ -121,20 +121,34 @@ func (e *Engine) runDayClientsSharded(ctx context.Context, d int, weekend bool, 
 			return err
 		}
 	}
-	// The barrier merge: ascending logical-shard order, fixed-size
-	// summaries into sharded sinks, buffered replay for the rest.
-	for si := range shards {
-		ls := e.logical[si]
+	return nil
+}
+
+// mergeShards is the first step of the sketch-mode day barrier: in
+// ascending logical-shard order, hand each shard's states to the sharded
+// sinks and replay its buffered events into the rest.
+func (e *Engine) mergeShards() {
+	buffered := len(e.plainSinks) > 0
+	for _, ls := range e.logical {
 		for i, v := range ls.humanReqs {
 			e.humanReqs[i] += v
 		}
 		for j, ss := range e.shardedSinks {
 			ss.MergeShard(ls.states[j])
-			ls.states[j].Reset()
 		}
 		if buffered {
 			ls.buf.replay(e.plainSinks)
 		}
 	}
-	return nil
+}
+
+// resetShards empties every shard state for the next day. It runs after
+// every sink's EndDay, because sinks may fold the states in as late as
+// EndDay (see ShardedSink.MergeShard).
+func (e *Engine) resetShards() {
+	for _, ls := range e.logical {
+		for _, st := range ls.states {
+			st.Reset()
+		}
+	}
 }
