@@ -57,6 +57,22 @@ type Artifacts struct {
 	cfReady   bool
 	cfDomains map[string]struct{}
 	cfIDs     *names.Set
+
+	// probes is the per-host probe table behind ProbeCF and
+	// Study.ProbeHostsContext: one claim-once entry per host any sweep
+	// has asked about (see probeHosts). probeMu guards the map only.
+	probeMu sync.Mutex
+	probes  map[string]*probeEntry
+	cmProbe *obs.CacheMetrics
+}
+
+// probeEntry is one host's slot in the probe table. The sweep that created
+// it owns it: that sweep sets cf, or marks the entry abandoned, and then
+// closes done. Other sweeps read cf and abandoned only after done closes.
+type probeEntry struct {
+	done      chan struct{}
+	cf        bool
+	abandoned bool
 }
 
 type rankingEntry struct {
@@ -106,6 +122,8 @@ func newArtifacts(s *Study) *Artifacts {
 		cmMonthly:   obs.NewCacheMetrics(s.obs, "artifacts.monthly"),
 		cmTelemetry: obs.NewCacheMetrics(s.obs, "artifacts.telemetry"),
 		cfDomainsG:  s.obs.Gauge("artifacts.cf.domains"),
+		probes:      make(map[string]*probeEntry),
+		cmProbe:     obs.NewCacheMetrics(s.obs, "artifacts.probe"),
 	}
 	a.norms.SetMetrics(a.cmNorm)
 	return a
@@ -288,9 +306,11 @@ func mustProbe(err error) {
 	}
 }
 
-// ProbeCF establishes the Cloudflare set, probing at most once per study.
-// Concurrent requesters wait for the in-flight sweep; a sweep aborted by
-// ctx is not memoized, so the next caller retries. Experiments that honor
+// ProbeCF establishes the Cloudflare set over every site domain. Its
+// hosts go through the study's probe table, so each is probed at most
+// once per study however ProbeCF interleaves with Table 1 or faultsense.
+// Concurrent requesters wait for the in-flight call; a call aborted by ctx
+// is not memoized, so the next caller retries. Experiments that honor
 // cancellation call this (with their context) before touching CFDomains
 // or CFDomainIDs.
 func (a *Artifacts) ProbeCF(ctx context.Context) error {
@@ -303,7 +323,7 @@ func (a *Artifacts) ProbeCF(ctx context.Context) error {
 	for i := range hosts {
 		hosts[i] = a.s.World.Site(int32(i)).Domain
 	}
-	cf, err := a.s.probeSweep(ctx, hosts)
+	cf, err := a.probeHosts(ctx, hosts)
 	if err != nil {
 		return err
 	}
@@ -319,4 +339,88 @@ func (a *Artifacts) ProbeCF(ctx context.Context) error {
 	a.cfReady = true
 	a.cfDomainsG.Set(int64(len(cf)))
 	return nil
+}
+
+// probeHosts returns the Cloudflare-served subset of hosts, probing each
+// host at most once per study. A probe outcome is a pure function of the
+// host, the study's fault plan and the sweep schedule, so it is shared:
+//
+//   - The call claims every host no sweep holds and runs the retry sweep
+//     on those only (a Miss each). It then waits on hosts another sweep
+//     holds, in flight or done (a Hit each).
+//   - Claims are per host, so which sweep probes a host depends on
+//     scheduling, but that every host is probed exactly once does not:
+//     the probe.* counters stay deterministic across worker counts.
+//   - Only completed outcomes are memoized. A sweep that fails (ctx ended,
+//     study closed) deletes its claims and closes them as abandoned; a
+//     waiter re-claims those hosts and probes them itself.
+func (a *Artifacts) probeHosts(ctx context.Context, hosts []string) (map[string]struct{}, error) {
+	cf := make(map[string]struct{})
+	for len(hosts) > 0 {
+		var claimed, held []string
+		var claimedE, heldE []*probeEntry
+		a.probeMu.Lock()
+		for _, h := range hosts {
+			if e, ok := a.probes[h]; ok {
+				held, heldE = append(held, h), append(heldE, e)
+				a.cmProbe.Hit()
+				continue
+			}
+			e := &probeEntry{done: make(chan struct{})}
+			a.probes[h] = e
+			claimed, claimedE = append(claimed, h), append(claimedE, e)
+			a.cmProbe.Miss()
+		}
+		a.probeMu.Unlock()
+
+		if len(claimed) > 0 {
+			bits, err := a.s.probeSweep(ctx, claimed)
+			if err != nil {
+				a.abandonProbes(claimed, claimedE)
+				return nil, err
+			}
+			for i, e := range claimedE {
+				e.cf = bits[i]
+				close(e.done)
+				if e.cf {
+					cf[claimed[i]] = struct{}{}
+				}
+			}
+		}
+
+		var retry []string
+		for i, e := range heldE {
+			select {
+			case <-e.done:
+			default:
+				a.cmProbe.Wait()
+				select {
+				case <-e.done:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			switch {
+			case e.abandoned:
+				retry = append(retry, held[i])
+			case e.cf:
+				cf[held[i]] = struct{}{}
+			}
+		}
+		hosts = retry
+	}
+	return cf, nil
+}
+
+// abandonProbes releases a failed sweep's claims: the entries leave the
+// table, so the next sweep claims the hosts afresh, and close as
+// abandoned, so sweeps already waiting on them re-claim them.
+func (a *Artifacts) abandonProbes(hosts []string, es []*probeEntry) {
+	a.probeMu.Lock()
+	defer a.probeMu.Unlock()
+	for i, h := range hosts {
+		delete(a.probes, h)
+		es[i].abandoned = true
+		close(es[i].done)
+	}
 }

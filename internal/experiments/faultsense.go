@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
+	"math"
 
 	"toplists/internal/cfmetrics"
 	"toplists/internal/core"
@@ -23,9 +23,6 @@ var faultSenseRates = []float64{0, 0.01, 0.05, 0.20}
 // stays bounded on large studies; the cap keeps the head of the site
 // table, which is where the evaluation's CF filtering matters.
 const faultSenseMaxHosts = 1500
-
-// faultSenseDays matches the core probe sweep's retry-on-next-day budget.
-const faultSenseDays = 3
 
 // FaultSenseRow is the sweep's outcome at one injected fault rate, for
 // one prober discipline.
@@ -123,65 +120,84 @@ func RunFaultSense(ctx context.Context, s *core.Study) (Result, error) {
 	return res, nil
 }
 
-// faultSenseAtRate probes hosts over a fresh network at one fault rate
-// with both prober disciplines.
+// faultSenseAtRate scores both prober disciplines at one fault rate.
+//
+// At the study's own rate the resilient arm is served from the study's
+// probe table: the study sweeps under the same plan (the study's fault
+// seed at that rate), with the same prober (core.NewSweepProber) and day
+// budget (core.ProbeSweepDays), and a probe outcome is a pure function of
+// those and the host. When that rate is 0 the table serves the naive arm
+// too: with no fault injected every attempt gets a non-5xx response or a
+// definitive NXDOMAIN, where single-shot and resilient classification
+// coincide. Every other arm probes a fresh network at the rate.
 func faultSenseAtRate(ctx context.Context, s *core.Study, hosts []string,
 	truth map[string]struct{}, rate float64, evalWith func(map[string]struct{}) float64) (FaultSenseRow, error) {
+	row := FaultSenseRow{Rate: rate}
+	var naiveCF, resilientCF map[string]struct{}
+	if rate == math.Max(s.Cfg.FaultRate, 0) {
+		cf, err := s.ProbeHostsContext(ctx, hosts)
+		if err != nil {
+			return row, err
+		}
+		resilientCF = cf
+		if rate == 0 {
+			naiveCF = cf
+		}
+	}
+	if naiveCF == nil || resilientCF == nil {
+		n := faultSenseNetwork(s, rate)
+		defer n.Close()
+		var err error
+		if naiveCF == nil {
+			if naiveCF, err = probeCFSet(ctx, n, hosts, true); err != nil {
+				return row, err
+			}
+		}
+		if resilientCF == nil {
+			if resilientCF, err = probeCFSet(ctx, n, hosts, false); err != nil {
+				return row, err
+			}
+		}
+	}
+	row.Naive = scoreCFSet(naiveCF, truth)
+	row.Naive.EvalJaccard = evalWith(naiveCF)
+	row.Resilient = scoreCFSet(resilientCF, truth)
+	row.Resilient.EvalJaccard = evalWith(resilientCF)
+	return row, nil
+}
+
+// faultSenseNetwork starts a fresh virtual network under the study's
+// fault seed at rate. Call Close when done.
+func faultSenseNetwork(s *core.Study, rate float64) *httpsim.Network {
 	n := httpsim.NewNetwork()
 	n.AddWorld(s.World)
 	if rate > 0 {
 		n.SetFaultPlan(&faults.Plan{Seed: s.FaultSeed(), Rate: rate})
 	}
 	n.Start()
-	defer n.Close()
+	return n
+}
 
-	row := FaultSenseRow{Rate: rate}
-
-	naive := httpsim.NewProber(n.Client())
-	naive.Concurrency = 64
-	naive.SingleShot = true
-	naive.AttemptTimeout = 10 * time.Second
-	naiveCF := make(map[string]struct{})
-	for _, r := range naive.ProbeAll(ctx, hosts) {
+// probeCFSet probes hosts over n and returns the Cloudflare-served subset:
+// with the naive single-shot prober, or with the study's resilient sweep.
+func probeCFSet(ctx context.Context, n *httpsim.Network, hosts []string, singleShot bool) (map[string]struct{}, error) {
+	p := core.NewSweepProber(n.Client())
+	days := core.ProbeSweepDays
+	if singleShot {
+		p.SingleShot = true
+		days = 1
+	}
+	rs, err := p.Sweep(ctx, hosts, days)
+	if err != nil {
+		return nil, err
+	}
+	cf := make(map[string]struct{})
+	for _, r := range rs {
 		if r.Cloudflare {
-			naiveCF[r.Host] = struct{}{}
+			cf[r.Host] = struct{}{}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return row, err
-	}
-	row.Naive = scoreCFSet(naiveCF, truth)
-	row.Naive.EvalJaccard = evalWith(naiveCF)
-
-	resilient := httpsim.NewProber(n.Client())
-	resilient.Concurrency = 64
-	resilient.AttemptTimeout = 10 * time.Second
-	resilient.BackoffBase = 200 * time.Microsecond
-	resilientCF := make(map[string]struct{})
-	pending := hosts
-	for day := 0; day < faultSenseDays && len(pending) > 0; day++ {
-		if err := ctx.Err(); err != nil {
-			return row, err
-		}
-		resilient.Day = day
-		resilient.ResetBreakers()
-		var unknown []string
-		for _, r := range resilient.ProbeAll(ctx, pending) {
-			switch {
-			case r.Outcome == httpsim.OutcomeUnknown:
-				unknown = append(unknown, r.Host)
-			case r.Cloudflare:
-				resilientCF[r.Host] = struct{}{}
-			}
-		}
-		pending = unknown
-	}
-	if err := ctx.Err(); err != nil {
-		return row, err
-	}
-	row.Resilient = scoreCFSet(resilientCF, truth)
-	row.Resilient.EvalJaccard = evalWith(resilientCF)
-	return row, nil
+	return cf, nil
 }
 
 // scoreCFSet compares a probed CF set against the truth set.

@@ -128,3 +128,58 @@ func TestRunConcurrentCanceled(t *testing.T) {
 		t.Error("a runner executed under a pre-canceled context")
 	}
 }
+
+// TestFaultSenseTableArms: the arms faultsense serves from the study's
+// probe table — the resilient arm at the study's fault rate, and the
+// naive arm too when that rate is 0 — equal a real single-shot and a real
+// resilient sweep on a fresh network at the same rate.
+func TestFaultSenseTableArms(t *testing.T) {
+	for _, studyRate := range []float64{0, 0.05} {
+		s := core.NewStudy(core.Config{Seed: 31, NumSites: 900, NumClients: 150, Days: 2, FaultRate: studyRate})
+		s.Run()
+		defer s.Close()
+		res, err := RunFaultSense(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.(*FaultSenseResult)
+		row, ok := r.RowAt(studyRate)
+		if !ok {
+			t.Fatalf("study rate %v: no row", studyRate)
+		}
+		// The served arms went through the study's own sweep, once.
+		if got := s.Metrics().Snapshot().Counters["probe.probes"]; got != int64(r.Hosts) {
+			t.Errorf("study rate %v: the study probed %d hosts, want the %d faultsense hosts",
+				studyRate, got, r.Hosts)
+		}
+
+		truth := make(map[string]struct{})
+		hosts := make([]string, r.Hosts)
+		for i := range hosts {
+			site := s.World.Site(int32(i))
+			hosts[i] = site.Domain
+			if site.Cloudflare() {
+				truth[site.Domain] = struct{}{}
+			}
+		}
+		n := faultSenseNetwork(s, studyRate)
+		defer n.Close()
+		for _, arm := range []struct {
+			name       string
+			singleShot bool
+			got        FaultSenseCell
+		}{{"single-shot", true, row.Naive}, {"resilient", false, row.Resilient}} {
+			cf, err := probeCFSet(context.Background(), n, hosts, arm.singleShot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := scoreCFSet(cf, truth)
+			got := arm.got
+			got.EvalJaccard = 0
+			if got != want {
+				t.Errorf("study rate %v, %s arm: %+v, probed on a fresh network %+v",
+					studyRate, arm.name, got, want)
+			}
+		}
+	}
+}

@@ -13,24 +13,17 @@ import (
 // hosts are re-probed on later virtual days with closed breakers.
 const faultProbeDays = 4
 
-func sweepCF(ctx context.Context, p *Prober, hosts []string) map[string]struct{} {
+func sweepCF(t *testing.T, p *Prober, hosts []string) map[string]struct{} {
+	t.Helper()
+	rs, err := p.Sweep(context.Background(), hosts, faultProbeDays)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make(map[string]struct{})
-	pending := hosts
-	for day := 0; day < faultProbeDays && len(pending) > 0; day++ {
-		if day > 0 {
-			p.Day = day
-			p.ResetBreakers()
+	for _, r := range rs {
+		if r.Cloudflare {
+			out[r.Host] = struct{}{}
 		}
-		var unknown []string
-		for _, r := range p.ProbeAll(ctx, pending) {
-			switch {
-			case r.Cloudflare:
-				out[r.Host] = struct{}{}
-			case r.Outcome == OutcomeUnknown:
-				unknown = append(unknown, r.Host)
-			}
-		}
-		pending = unknown
 	}
 	return out
 }
@@ -58,7 +51,7 @@ func TestResilientProberRecoversUnderFaults(t *testing.T) {
 		hosts[i] = w.Site(int32(i)).Domain
 	}
 
-	got := sweepCF(context.Background(), resilientProber(n), hosts)
+	got := sweepCF(t, resilientProber(n), hosts)
 	lost, false_ := 0, 0
 	for h := range truth {
 		if _, ok := got[h]; !ok {

@@ -19,9 +19,9 @@ const truncateAfter = 24
 // classification never rides on a timeout racing the scheduler.
 const stallLatency = 50 * time.Millisecond
 
-// resetConn models an RST mid-exchange: the first read tears the pipe down
-// and surfaces a reset. Closing the underlying conn unblocks the server
-// side, whose pending pipe writes would otherwise stall forever.
+// resetConn models an RST mid-exchange: the first read tears the conn down
+// and surfaces a reset. Closing the underlying conn ends the server side's
+// exchange too: its reads see EOF and its further writes fail.
 type resetConn struct {
 	net.Conn
 }
@@ -32,7 +32,7 @@ func (c *resetConn) Read(p []byte) (int, error) {
 }
 
 // truncConn models a response cut off mid-headers: it passes through a few
-// bytes, then closes the pipe and reports EOF.
+// bytes, then closes the conn and reports EOF.
 type truncConn struct {
 	net.Conn
 	remain int

@@ -31,6 +31,10 @@ type ProbeMetrics struct {
 	breakerSkips *obs.Counter
 
 	probeTime *obs.Histogram
+
+	// tracer, captured at registration, puts each sweep day on the run
+	// timeline as a "probe.round" span.
+	tracer *obs.Tracer
 }
 
 // NewProbeMetrics registers the probe.* instrument family on r. All
@@ -48,6 +52,7 @@ func NewProbeMetrics(r *obs.Registry) *ProbeMetrics {
 		breakerTrips:   r.Counter("probe.breaker.trips"),
 		breakerSkips:   r.Counter("probe.breaker.skips"),
 		probeTime:      r.Histogram("probe.duration"),
+		tracer:         r.Tracer(),
 	}
 }
 
@@ -71,6 +76,14 @@ func (m *ProbeMetrics) observeProbe(res *ProbeResult, elapsed time.Duration) {
 		m.cloudflare.Inc()
 	}
 	m.probeTime.Observe(elapsed)
+}
+
+// sweepDay records one day of a Sweep on the run timeline.
+func (m *ProbeMetrics) sweepDay(day int, start time.Time) {
+	if m == nil {
+		return
+	}
+	m.tracer.Span("probe.round", "probe", int64(day), start, time.Since(start))
 }
 
 func (m *ProbeMetrics) retryRound() {

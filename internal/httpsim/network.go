@@ -6,9 +6,9 @@
 // not include the cf_ray HTTP header").
 //
 // Traffic flows through the real net/http client and server stacks over
-// synchronous in-memory pipes, so everything a production prober would
-// exercise — dialing, request writing, header parsing, redirects, timeouts —
-// is exercised here, just without sockets.
+// buffered in-memory connection pairs (memconn.go), so everything a
+// production prober would exercise — dialing, request writing, header
+// parsing, redirects, timeouts — is exercised here, just without sockets.
 package httpsim
 
 import (
@@ -32,7 +32,7 @@ import (
 // standing in for NXDOMAIN.
 var ErrNoSuchHost = errors.New("httpsim: no such host")
 
-// memListener is a net.Listener fed by a channel of pipe ends.
+// memListener is a net.Listener fed by a channel of conn-pair ends.
 type memListener struct {
 	conns  chan net.Conn
 	closed chan struct{}
@@ -54,7 +54,7 @@ func (l *memListener) Accept() (net.Conn, error) {
 }
 
 // Close implements net.Listener. It is idempotent, and it drains any
-// queued-but-unaccepted conns so their dialers see the pipe close rather
+// queued-but-unaccepted conns so their dialers see the conn close rather
 // than hanging on a server that will never read.
 func (l *memListener) Close() error {
 	l.once.Do(func() {
@@ -76,7 +76,7 @@ func (l *memListener) Addr() net.Addr {
 	return &net.UnixAddr{Name: "httpsim", Net: "mem"}
 }
 
-// dial hands one end of a fresh pipe to the listener. The closed channel
+// dial hands one end of a fresh conn pair to the listener. The closed channel
 // is checked up front: the select below picks randomly among ready cases,
 // so without the pre-check a dial racing Close could enqueue onto a
 // listener that will never Accept again (Close's drain closes any loser of
@@ -87,7 +87,7 @@ func (l *memListener) dial(ctx context.Context) (net.Conn, error) {
 		return nil, net.ErrClosed
 	default:
 	}
-	client, server := net.Pipe()
+	client, server := memConnPair()
 	select {
 	case l.conns <- server:
 		return client, nil
@@ -312,15 +312,18 @@ func (n *Network) dialBackend(ctx context.Context, info hostInfo) (net.Conn, err
 }
 
 // Client returns an *http.Client routed through the virtual network. TLS
-// dials hand back a plain pipe (the simulation treats transport security as
+// dials hand back a plain conn (the simulation treats transport security as
 // already established), so https:// URLs work against the in-memory stack.
+// Keep-alives are off: each host is its own transport pool key, so an idle
+// conn would never be reused — it would only linger, with its server
+// goroutine, until the pool evicted it. (With a fault plan every response
+// forces Connection: close anyway; see injectResponseFault.)
 func (n *Network) Client() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
 			DialContext:       n.DialContext,
 			DialTLSContext:    n.DialContext,
-			MaxIdleConns:      256,
-			DisableKeepAlives: false,
+			DisableKeepAlives: true,
 		},
 	}
 }

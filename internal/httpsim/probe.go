@@ -159,6 +159,48 @@ func (p *Prober) ProbeAll(ctx context.Context, hosts []string) []ProbeResult {
 	return results
 }
 
+// Sweep probes hosts with the retry-on-next-day discipline: day d
+// re-probes only the hosts still Unknown after day d-1, with the prober's
+// Day advanced (fresh fault-plan coordinates) and its breakers closed (the
+// half-open transition). It returns one result per host, in input order:
+// the result of the day that classified the host, or its Unknown from the
+// last day. If ctx ends the sweep early it returns ctx's error and no
+// results, never a partial classification. Sweep owns p.Day while it
+// runs, so one prober must not run two sweeps at once.
+func (p *Prober) Sweep(ctx context.Context, hosts []string, days int) ([]ProbeResult, error) {
+	results := make([]ProbeResult, len(hosts))
+	pending := make([]int, len(hosts))
+	for i := range pending {
+		pending[i] = i
+	}
+	batch := make([]string, 0, len(hosts))
+	for day := 0; day < days && len(pending) > 0; day++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p.Day = day
+		p.ResetBreakers()
+		start := time.Now()
+		batch = batch[:0]
+		for _, i := range pending {
+			batch = append(batch, hosts[i])
+		}
+		unknown := pending[:0]
+		for j, r := range p.ProbeAll(ctx, batch) {
+			results[pending[j]] = r
+			if r.Outcome == OutcomeUnknown {
+				unknown = append(unknown, pending[j])
+			}
+		}
+		p.Metrics.sweepDay(day, start)
+		pending = unknown
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
 // attemptOutcome classifies one request's result.
 type attemptOutcome uint8
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,11 @@ import (
 // All methods are nil-safe, so instrumented code pays one branch when no
 // tracer is attached — the same contract as every other obs primitive.
 //
-// The ring is written without per-slot synchronization, so snapshotting
-// (Events, WriteJSON) is only well-defined after the traced workload has
+// Two writers whose tickets are a ring length apart map to the same slot,
+// so each slot carries a sequence word that a writer claims before it
+// writes (see Span): slot ownership is exclusive, and a writer that finds
+// a newer span already in its slot drops its own. Snapshotting (Events,
+// WriteJSON) is still only meaningful after the traced workload has
 // quiesced — the same "snapshot at a barrier" contract as Report.
 type Tracer struct {
 	epoch time.Time
@@ -39,9 +43,19 @@ type Tracer struct {
 	mu    sync.Mutex
 	bound []Event // phase-boundary events; never dropped
 
-	ring []Event
+	ring []traceSlot
 	next atomic.Uint64 // total ring events ever claimed
 }
+
+// traceSlot is one ring entry. seq is 0 for a never-written slot,
+// ticket+1 once the span with that ticket is written, and slotBusy|seq
+// while a writer owns the slot.
+type traceSlot struct {
+	seq atomic.Uint64
+	ev  Event
+}
+
+const slotBusy = 1 << 63
 
 // Event is one trace entry. TS and Dur are nanoseconds relative to the
 // tracer's epoch; Ph is the Chrome trace_event phase ('B' begin, 'E' end,
@@ -70,7 +84,7 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{
 		epoch: time.Now(),
 		bound: make([]Event, 0, 256),
-		ring:  make([]Event, capacity),
+		ring:  make([]traceSlot, capacity),
 	}
 }
 
@@ -114,22 +128,35 @@ func (t *Tracer) Phase(name string, start time.Time, d time.Duration) {
 }
 
 // Span records a completed fine-grained span into the bounded ring. This
-// is the hot path: claiming a slot is one atomic add and writing it
-// allocates nothing, so per-shard and per-build instrumentation can call
-// it from any goroutine. Oldest spans are overwritten once the ring
-// wraps. Safe on nil.
+// is the hot path: taking a ticket is one atomic add, claiming its slot
+// one compare-and-swap, and writing it allocates nothing, so per-shard and
+// per-build instrumentation can call it from any goroutine. Oldest spans
+// are overwritten once the ring wraps. Safe on nil.
 func (t *Tracer) Span(name, cat string, tid int64, start time.Time, d time.Duration) {
 	if t == nil {
 		return
 	}
-	slot := t.next.Add(1) - 1
-	ev := &t.ring[slot%uint64(len(t.ring))]
-	ev.Name = name
-	ev.Cat = cat
-	ev.Ph = 'X'
-	ev.TID = tid
-	ev.TS = start.Sub(t.epoch).Nanoseconds()
-	ev.Dur = int64(d)
+	ticket := t.next.Add(1) - 1
+	slot := &t.ring[ticket%uint64(len(t.ring))]
+	for {
+		seq := slot.seq.Load()
+		if seq&slotBusy != 0 {
+			// Another writer owns the slot for a moment; wait it out.
+			runtime.Gosched()
+			continue
+		}
+		if seq > ticket {
+			// A later lap already wrote here: this span is the older one,
+			// and the ring keeps the newest.
+			return
+		}
+		if slot.seq.CompareAndSwap(seq, slotBusy|seq) {
+			break
+		}
+	}
+	slot.ev = Event{Name: name, Cat: cat, Ph: 'X', TID: tid,
+		TS: start.Sub(t.epoch).Nanoseconds(), Dur: int64(d)}
+	slot.seq.Store(ticket + 1)
 }
 
 // Dropped returns how many ring spans have been overwritten (0 on nil).
@@ -172,11 +199,11 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, len(t.bound), len(t.bound)+len(t.ring))
 	copy(out, t.bound)
 	t.mu.Unlock()
-	n := int(t.next.Load())
-	if n > len(t.ring) {
-		n = len(t.ring)
+	for i := range t.ring {
+		if seq := t.ring[i].seq.Load(); seq != 0 && seq&slotBusy == 0 {
+			out = append(out, t.ring[i].ev)
+		}
 	}
-	out = append(out, t.ring[:n]...)
 	var maxTS int64
 	for i := range out {
 		if out[i].TS < 0 {

@@ -136,7 +136,11 @@ func TestCompareRefRatioGating(t *testing.T) {
 }
 
 // TestMeasureInterleavesRef: a list carrying RefBenchmark yields
-// RefRatio on every result, and the ratio reflects relative cost.
+// RefRatio on every result, and the ratio reflects relative cost. The
+// rounds are long enough (the reference gets a quarter of MinRoundTime)
+// that one scheduler preemption moves a round's ratio by well under 2x,
+// and nine of them make the median survive a busy machine, such as a full
+// parallel `go test ./...` on two CPUs.
 func TestMeasureInterleavesRef(t *testing.T) {
 	spin := func(units int) func(int) {
 		return func(n int) {
@@ -152,7 +156,7 @@ func TestMeasureInterleavesRef(t *testing.T) {
 	res := Measure([]Benchmark{
 		{Name: RefBenchmark, Setup: func() func(int) { return spin(1000) }},
 		{Name: "heavy", Setup: func() func(int) { return spin(4000) }},
-	}, MeasureOptions{Rounds: 3, MinRoundTime: 2 * time.Millisecond})
+	}, MeasureOptions{Rounds: 9, MinRoundTime: 40 * time.Millisecond})
 	if res[RefBenchmark].RefRatio != 1 {
 		t.Errorf("ref ratio = %v, want 1", res[RefBenchmark].RefRatio)
 	}

@@ -69,7 +69,7 @@ func TestObsDeterminism(t *testing.T) {
 	// accidentally empty report would pass the comparison below vacuously.
 	for _, key := range []string{
 		"engine.events.pageload", "artifacts.norm.misses",
-		"probe.attempts", "faults.injected.", "eval.completed",
+		"probe.attempts", "artifacts.probe.misses", "faults.injected.", "eval.completed",
 		"names.interned",
 	} {
 		if !strings.Contains(base.det, key) {
