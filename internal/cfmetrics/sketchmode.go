@@ -166,9 +166,6 @@ func (p *Pipeline) SetSketch(cfg sketch.Config) {
 	p.botState = p.newPipelineShard()
 }
 
-// SketchEnabled reports whether the pipeline aggregates through sketches.
-func (p *Pipeline) SketchEnabled() bool { return p.sk.Enabled }
-
 // NewShardState implements traffic.ShardedSink.
 func (p *Pipeline) NewShardState() traffic.ShardState {
 	return p.newPipelineShard()

@@ -186,12 +186,6 @@ func (a *Artifacts) Normalized(l providers.List, day int) *rank.Ranking {
 	return r
 }
 
-// NormalizedStats returns the normalized snapshot together with its
-// deviation statistics (the Table 2 numbers).
-func (a *Artifacts) NormalizedStats(l providers.List, day int) (*rank.Ranking, rank.NormalizeStats) {
-	return a.norms.Normalized(l, day)
-}
-
 // ComboRanking returns the day's ranked domain list for one Cloudflare
 // filter-aggregation combo, memoized per (day, combo).
 func (a *Artifacts) ComboRanking(day int, c cfmetrics.Combo) *rank.Ranking {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"toplists/internal/cfmetrics"
+	"toplists/internal/names"
 	"toplists/internal/rank"
 	"toplists/internal/world"
 )
@@ -90,13 +91,21 @@ func TestSpearmanTopK(t *testing.T) {
 	}
 }
 
+// idSet interns domains into tab and returns them as an ID set, the form
+// Artifacts.CFDomainIDs hands the evaluation.
+func idSet(tab *names.Table, domains ...string) *names.Set {
+	ids := make([]names.ID, len(domains))
+	for i, d := range domains {
+		ids[i] = tab.Intern(d)
+	}
+	return names.NewSet(ids)
+}
+
 func TestEvalListVsMetricPerfectList(t *testing.T) {
 	// A list identical to the CF metric must score Jaccard 1, Spearman 1.
 	cf := rank.MustNew([]string{"a.com", "b.com", "c.com", "d.com"})
-	cfSet := map[string]struct{}{
-		"a.com": {}, "b.com": {}, "c.com": {}, "d.com": {},
-	}
-	res := EvalListVsMetric(cf, cfSet, cf, 4, false)
+	cfSet := idSet(cf.Table(), "a.com", "b.com", "c.com", "d.com")
+	res := EvalListVsMetricIDs(cf, cfSet, cf, 4, false)
 	if res.N != 4 || res.Jaccard != 1 || !res.SpearmanOK || math.Abs(res.Spearman-1) > 1e-12 {
 		t.Errorf("res = %+v", res)
 	}
@@ -104,9 +113,9 @@ func TestEvalListVsMetricPerfectList(t *testing.T) {
 
 func TestEvalListVsMetricFiltersNonCF(t *testing.T) {
 	cf := rank.MustNew([]string{"a.com", "b.com"})
-	cfSet := map[string]struct{}{"a.com": {}, "b.com": {}}
+	cfSet := idSet(cf.Table(), "a.com", "b.com")
 	list := rank.MustNew([]string{"x.com", "a.com", "y.com", "b.com"})
-	res := EvalListVsMetric(list, cfSet, cf, 4, false)
+	res := EvalListVsMetricIDs(list, cfSet, cf, 4, false)
 	if res.N != 2 {
 		t.Fatalf("N = %d, want 2 (non-CF filtered)", res.N)
 	}
@@ -117,8 +126,8 @@ func TestEvalListVsMetricFiltersNonCF(t *testing.T) {
 
 func TestEvalListVsMetricBucketed(t *testing.T) {
 	cf := rank.MustNew([]string{"a.com", "b.com"})
-	cfSet := map[string]struct{}{"a.com": {}, "b.com": {}}
-	res := EvalListVsMetric(cf, cfSet, cf, 2, true)
+	cfSet := idSet(cf.Table(), "a.com", "b.com")
+	res := EvalListVsMetricIDs(cf, cfSet, cf, 2, true)
 	if res.SpearmanOK {
 		t.Error("bucketed list must not get a Spearman value")
 	}
@@ -130,7 +139,7 @@ func TestEvalListVsMetricBucketed(t *testing.T) {
 func TestEvalListVsMetricEmpty(t *testing.T) {
 	cf := rank.MustNew([]string{"a.com"})
 	list := rank.MustNew([]string{"x.com"})
-	res := EvalListVsMetric(list, map[string]struct{}{"a.com": {}}, cf, 1, false)
+	res := EvalListVsMetricIDs(list, idSet(cf.Table(), "a.com"), cf, 1, false)
 	if res.N != 0 || res.Jaccard != 0 || res.SpearmanOK {
 		t.Errorf("res = %+v", res)
 	}
@@ -168,28 +177,30 @@ func TestAgreedBuckets(t *testing.T) {
 	bk := rank.Bucketer{Magnitudes: [4]int{2, 4, 8, 16}}
 	m1 := rank.MustNew([]string{"a", "b", "c", "d", "e", "f"})
 	m3 := rank.MustNew([]string{"b", "a", "e", "c", "d", "f"})
-	agreed := AgreedBuckets(m1, m3, bk)
+	agreed := AgreedBucketsIDs(m1, m3, bk)
+	tab := m1.Table()
 	// a: m1 rank1 (bucket0), m3 rank2 (bucket0) -> agreed bucket0.
-	if b, ok := agreed["a"]; !ok || b != rank.Bucket1K {
+	if b, ok := agreed[tab.Intern("a")]; !ok || b != rank.Bucket1K {
 		t.Errorf("a: %v %v", b, ok)
 	}
 	// e: m1 rank5 (bucket2), m3 rank3 (bucket1) -> disagree.
-	if _, ok := agreed["e"]; ok {
+	if _, ok := agreed[tab.Intern("e")]; ok {
 		t.Error("e should disagree")
 	}
 }
 
 func TestComputeMovementAndOverrank(t *testing.T) {
 	bk := rank.Bucketer{Magnitudes: [4]int{2, 4, 8, 16}}
-	agreed := map[string]rank.Bucket{
-		"a": rank.Bucket1K,  // CF says head
-		"b": rank.Bucket10K, // CF says 2nd bucket
-		"c": rank.Bucket1M,  // CF says 4th bucket
-	}
 	// List ranks: a at 1 (bucket0: correct), c at 2 (bucket0: overranked
 	// by 3), b missing (underranked to beyond).
 	list := rank.MustNew([]string{"a", "c"})
-	mv := ComputeMovement(agreed, list, bk)
+	tab := list.Table()
+	agreed := map[names.ID]rank.Bucket{
+		tab.Intern("a"): rank.Bucket1K,  // CF says head
+		tab.Intern("b"): rank.Bucket10K, // CF says 2nd bucket
+		tab.Intern("c"): rank.Bucket1M,  // CF says 4th bucket
+	}
+	mv := ComputeMovementIDs(agreed, list, bk)
 	if mv.Matrix[rank.Bucket1K][rank.Bucket1K] != 1 {
 		t.Error("a flow")
 	}
@@ -200,7 +211,7 @@ func TestComputeMovementAndOverrank(t *testing.T) {
 		t.Error("b flow")
 	}
 
-	st := ComputeOverrank(agreed, list, bk, 0)
+	st := ComputeOverrankIDs(agreed, list, bk, 0)
 	if st.N != 2 {
 		t.Fatalf("N = %d", st.N)
 	}

@@ -166,3 +166,31 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("newProber() after Close: %v, want ErrStudyClosed", err)
 	}
 }
+
+// TestStudyRecordsSimulatePhase: studies advance day by day through
+// Engine.AdvanceDay, so a default study's report carries phase.simulate
+// once per simulated day, alongside the other study-build phases.
+func TestStudyRecordsSimulatePhase(t *testing.T) {
+	s := NewStudy(lifecycleCfg(23))
+	defer s.Close()
+	s.Run()
+	phases := s.Metrics().Snapshot().Phases
+	want := map[string]int64{
+		"phase.build_world": 1,
+		"phase.simulate":    int64(s.Cfg.Days),
+		"phase.amalgam":     int64(s.Cfg.Days),
+	}
+	for name, n := range want {
+		p, ok := phases[name]
+		if !ok {
+			t.Errorf("report has no %s phase", name)
+			continue
+		}
+		if p.Count != n {
+			t.Errorf("%s Count = %d, want %d", name, p.Count, n)
+		}
+		if p.TotalNS <= 0 {
+			t.Errorf("%s recorded no time", name)
+		}
+	}
+}

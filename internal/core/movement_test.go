@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"toplists/internal/names"
 	"toplists/internal/rank"
 	"toplists/internal/simrand"
 )
@@ -17,26 +18,30 @@ func TestMovementConservation(t *testing.T) {
 		n := int(nRaw%60) + 5
 		bk := rank.ScaledMagnitudes(n * 10)
 
-		names := make([]string, n)
-		for i := range names {
-			names[i] = fmt.Sprintf("site%d.com", i)
+		tab := names.NewTable()
+		domains := make([]string, n)
+		for i := range domains {
+			domains[i] = fmt.Sprintf("site%d.com", i)
 		}
-		agreed := make(map[string]rank.Bucket)
-		for _, name := range names {
+		agreed := make(map[names.ID]rank.Bucket)
+		for _, name := range domains {
 			if src.Bernoulli(0.7) {
-				agreed[name] = rank.Bucket(src.Intn(4))
+				agreed[tab.Intern(name)] = rank.Bucket(src.Intn(4))
 			}
 		}
 		// A random sublist as the top list.
 		var listNames []string
-		for _, name := range names {
+		for _, name := range domains {
 			if src.Bernoulli(0.5) {
 				listNames = append(listNames, name)
 			}
 		}
-		list := rank.MustNew(listNames)
+		list, err := rank.NewIn(tab, listNames)
+		if err != nil {
+			return false
+		}
 
-		m := ComputeMovement(agreed, list, bk)
+		m := ComputeMovementIDs(agreed, list, bk)
 		total := 0
 		for a := 0; a < rank.NumBuckets; a++ {
 			for b := 0; b < rank.NumBuckets; b++ {
@@ -61,18 +66,22 @@ func TestOverrankBounds(t *testing.T) {
 		n := int(nRaw%80) + 10
 		bk := rank.ScaledMagnitudes(n * 20)
 
-		agreed := make(map[string]rank.Bucket)
+		tab := names.NewTable()
+		agreed := make(map[names.ID]rank.Bucket)
 		var listNames []string
 		for i := 0; i < n; i++ {
 			name := fmt.Sprintf("s%d.net", i)
 			listNames = append(listNames, name)
 			if src.Bernoulli(0.8) {
-				agreed[name] = rank.Bucket(src.Intn(4))
+				agreed[tab.Intern(name)] = rank.Bucket(src.Intn(4))
 			}
 		}
-		list := rank.MustNew(listNames)
+		list, err := rank.NewIn(tab, listNames)
+		if err != nil {
+			return false
+		}
 		for idx := 0; idx < 2; idx++ {
-			st := ComputeOverrank(agreed, list, bk, idx)
+			st := ComputeOverrankIDs(agreed, list, bk, idx)
 			if st.OverrankedPct < 0 || st.OverrankedPct > 100 {
 				return false
 			}
@@ -99,28 +108,28 @@ func TestAgreedBucketsSubsetProperty(t *testing.T) {
 		n := int(nRaw%50) + 10
 		bk := rank.ScaledMagnitudes(n)
 
-		names := make([]string, n)
-		for i := range names {
-			names[i] = fmt.Sprintf("d%d.org", i)
+		domains := make([]string, n)
+		for i := range domains {
+			domains[i] = fmt.Sprintf("d%d.org", i)
 		}
 		perm1 := src.Perm(n)
 		perm2 := src.Perm(n)
 		l1 := make([]string, n)
 		l2 := make([]string, 0, n)
 		for i, p := range perm1 {
-			l1[i] = names[p]
+			l1[i] = domains[p]
 		}
 		for _, p := range perm2 {
 			if src.Bernoulli(0.8) {
-				l2 = append(l2, names[p])
+				l2 = append(l2, domains[p])
 			}
 		}
 		m1 := rank.MustNew(l1)
 		m3 := rank.MustNew(l2)
-		agreed := AgreedBuckets(m1, m3, bk)
-		for name, b := range agreed {
-			r1, ok1 := m1.RankOf(name)
-			r3, ok3 := m3.RankOf(name)
+		agreed := AgreedBucketsIDs(m1, m3, bk)
+		for id, b := range agreed {
+			r1, ok1 := m1.RankOfID(id)
+			r3, ok3 := m3.RankOfID(id)
 			if !ok1 || !ok3 {
 				return false
 			}

@@ -164,16 +164,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u > 0 {
-			return -ln(u)
-		}
-	}
-}
-
 // LogNormal returns a log-normal variate with the given parameters of the
 // underlying normal (mu, sigma).
 func (s *Source) LogNormal(mu, sigma float64) float64 {

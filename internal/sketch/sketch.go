@@ -222,9 +222,6 @@ const swarHigh = 0x8080808080808080
 // Reset implements Distinct.
 func (h *HLL) Reset() { clear(h.regs) }
 
-// Precision returns the register exponent p.
-func (h *HLL) Precision() uint8 { return h.p }
-
 // MemBytes returns the register array footprint, a pure function of the
 // precision (safe for deterministic gauges).
 func (h *HLL) MemBytes() int { return len(h.regs) }

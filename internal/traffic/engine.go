@@ -60,17 +60,18 @@ type Config struct {
 	// 0.025).
 	HomeOpenDNSShare float64
 	// Workers is the number of goroutines simulating clients within a day.
-	// 0 (the default) uses one worker per available CPU; 1 forces the
-	// serial legacy path, which the parallel path is tested against. Every
-	// setting produces the identical event stream: workers emit into
-	// per-shard buffers that are replayed into sinks in client order.
+	// 0 (the default) uses one worker per available CPU; 1 runs the day's
+	// logical shards one after another on the calling goroutine. Every
+	// setting produces the identical event stream: the shards are handed
+	// to the sinks in ascending client order at the day barrier.
 	Workers int
-	// Sketch enables bounded per-shard aggregation: the day's clients are
-	// split into Sketch.Shards fixed logical shards (independent of
-	// Workers), sinks implementing ShardedSink accumulate one summary per
-	// logical shard, and the day barrier merges the summaries in ascending
-	// shard order instead of replaying per-event buffers. Off (the zero
-	// value) leaves the engine byte-identical to the exact path.
+	// Sketch enables bounded per-shard aggregation: sinks implementing
+	// ShardedSink accumulate one summary per logical shard, and the day
+	// barrier merges the summaries in ascending shard order instead of
+	// replaying the events. Sketch.Shards (default 8) sets the number of
+	// fixed logical shards the day's clients are split into in both modes,
+	// independent of Workers. Off (the zero value) leaves every sink on the
+	// exact event stream.
 	Sketch sketch.Config
 	// Ablate disables selected engine mechanisms for ablation studies.
 	Ablate Ablations
@@ -198,17 +199,12 @@ type Engine struct {
 	root         *simrand.Source
 
 	// humanReqs accumulates per-site human request counts for the current
-	// day; bot volume is derived from it at day end. Workers accumulate
-	// into private copies that are summed after the day's barrier.
+	// day; bot volume is derived from it at day end. Logical shards
+	// accumulate into private copies that are summed at the day's barrier.
 	humanReqs []int32
 
-	// serialScratch and workers hold per-day reusable simulation state for
-	// the serial and parallel paths respectively.
-	serialScratch *clientScratch
-	workers       []*workerState
-
-	// Sketch-mode state: the fixed logical shards and the one-time split of
-	// sinks into sharded and plain (see sharded.go).
+	// The fixed logical shards and the one-time split of sinks into
+	// sharded and plain (see sharded.go).
 	logical      []*logicalShard
 	shardedSinks []ShardedSink
 	plainSinks   []Sink
@@ -517,9 +513,9 @@ func (e *Engine) RestoreDay(d int) error {
 }
 
 // AdvanceDay simulates exactly one day — the one at the Day cursor — and
-// advances the cursor. Days advance strictly in order, exactly once: the
-// cursor is the guard against out-of-order or double advancement, for both
-// the buffered-replay and sketch-sharded paths. Once all configured days
+// advances the cursor, recording the day in phase.simulate. Days advance
+// strictly in order, exactly once: the cursor is the guard against
+// out-of-order or double advancement. Once all configured days
 // have run it returns ErrRunComplete. A failed day (shard panic, mid-day
 // cancellation) latches: the sinks are mid-day and every subsequent call
 // returns an error wrapping ErrEngineAborted. A cancellation observed
@@ -535,7 +531,10 @@ func (e *Engine) AdvanceDay(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := e.runDay(ctx, e.day); err != nil {
+	sp := e.metrics.simPhase.Start()
+	err := e.runDay(ctx, e.day)
+	sp.End()
+	if err != nil {
 		e.failed = err
 		return err
 	}
@@ -549,8 +548,6 @@ func (e *Engine) AdvanceDay(ctx context.Context) error {
 // crashing the process. On error the sinks are left mid-day and the
 // engine refuses to advance further (see AdvanceDay).
 func (e *Engine) RunContext(ctx context.Context) error {
-	sp := e.metrics.simPhase.Start()
-	defer sp.End()
 	for e.day < e.Cfg.Days {
 		if err := e.AdvanceDay(ctx); err != nil {
 			return err
@@ -562,9 +559,9 @@ func (e *Engine) RunContext(ctx context.Context) error {
 // RunDay simulates a single day, which must be the day at the Day cursor:
 // sinks accumulate state day over day, so the lifecycle forbids skipping
 // or repeating days. With more than one worker configured the day's
-// clients are simulated concurrently in contiguous shards; the event
-// stream the sinks observe is identical for every worker count (see
-// parallel.go). Like Run, a shard panic propagates.
+// logical shards are simulated concurrently; what the sinks observe is
+// identical for every worker count (see sharded.go). Like Run, a shard
+// panic propagates.
 func (e *Engine) RunDay(d int) {
 	if d != e.day {
 		panic(fmt.Sprintf("traffic: RunDay(%d): cursor is at day %d; days advance in order, exactly once", d, e.day))
@@ -588,49 +585,26 @@ func (e *Engine) runDay(ctx context.Context, d int) error {
 	}
 
 	daySrc := e.root.Derive("day").At(d)
-	var err error
 	nw := e.workerCount()
 	e.metrics.workers.Set(int64(nw))
-	if e.Cfg.Sketch.Enabled {
-		err = e.runDayClientsSharded(ctx, d, weekend, daySrc, nw)
-	} else if nw > 1 {
-		err = e.runDayClientsParallel(ctx, d, weekend, daySrc, nw)
-	} else {
-		if e.serialScratch == nil {
-			e.serialScratch = newClientScratch()
-		}
-		shardStart := time.Now()
-		out := shardOut{sinks: e.sinks, humanReqs: e.humanReqs}
-		err = e.simulateShard(ctx, 0, d, weekend, daySrc, e.serialScratch, &out, 0, len(e.Clients))
-		shardDur := time.Since(shardStart)
-		e.metrics.shardTime.Observe(shardDur)
-		e.metrics.tracer.Span("engine.shard", "engine", 0, shardStart, shardDur)
-		out.flushCounts(&e.metrics)
-	}
-	if err != nil {
+	if err := e.runDayClients(ctx, d, weekend, daySrc, nw); err != nil {
 		return err
 	}
-	sketched := e.Cfg.Sketch.Enabled
-	var barrierStart time.Time
-	if sketched {
-		barrierStart = time.Now()
-		e.mergeShards()
-	}
-	e.simulateBots(d, daySrc.Derive("bots"))
 
+	// The day barrier: shard merges and replay, the day's bots, and every
+	// sink's end-of-day work.
+	barrierStart := time.Now()
+	e.mergeShards()
+	e.simulateBots(d, daySrc.Derive("bots"))
 	for _, s := range e.sinks {
-		if pb, ok := s.(ParallelBarrierSink); ok && sketched {
+		if pb, ok := s.(ParallelBarrierSink); ok {
 			pb.EndDayWorkers(d, nw)
 		} else {
 			s.EndDay(d)
 		}
 	}
-	if sketched {
-		e.resetShards()
-		// The sketch-mode barrier: shard merges and replay, the day's
-		// bots, and every sink's end-of-day work.
-		e.metrics.tracer.Span("engine.barrier", "engine", int64(d), barrierStart, time.Since(barrierStart))
-	}
+	e.resetShards()
+	e.metrics.tracer.Span("engine.barrier", "engine", int64(d), barrierStart, time.Since(barrierStart))
 	e.metrics.days.Inc()
 	dayDur := time.Since(dayStart)
 	e.metrics.dayTime.Observe(dayDur)

@@ -357,9 +357,10 @@ func benchEngineDay(b *testing.B, traced bool) {
 	}
 }
 
-// TestBarrierSpan: a traced sketch-mode run records exactly one
-// engine.barrier span per day, inside that day's engine.day span and
-// after every engine.shard span of the day; exact mode records none.
+// TestBarrierSpan: a traced run records exactly one engine.barrier span
+// per day, inside that day's engine.day span and after every engine.shard
+// span of the day, in exact and sketch mode alike — both modes run the
+// same day scheduler and barrier.
 func TestBarrierSpan(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 1, NumSites: 600})
 	for _, sketched := range []bool{false, true} {
@@ -382,24 +383,32 @@ func TestBarrierSpan(t *testing.T) {
 				barriers = append(barriers, ev)
 			}
 		}
-		if !sketched {
-			if len(barriers) != 0 {
-				t.Errorf("exact mode recorded %d engine.barrier spans", len(barriers))
-			}
-			continue
+		if len(days) != e.Cfg.Days {
+			t.Fatalf("sketch=%v: recorded %d engine.day spans over %d days", sketched, len(days), e.Cfg.Days)
 		}
-		if len(barriers) != e.Cfg.Days {
-			t.Fatalf("recorded %d engine.barrier spans over %d days", len(barriers), e.Cfg.Days)
-		}
+		perDay := map[int64]int{}
 		for _, b := range barriers {
+			perDay[b.TID]++
 			day, ok := days[b.TID]
 			if !ok || b.TS < day.TS || b.TS+b.Dur > day.TS+day.Dur {
-				t.Errorf("barrier span %+v is not inside its engine.day span %+v", b, day)
+				t.Errorf("sketch=%v: barrier span %+v is not inside its engine.day span %+v", sketched, b, day)
 			}
+			shards := 0
 			for _, ev := range tr.Events() {
-				if ev.Name == "engine.shard" && ev.TS >= day.TS && ev.TS+ev.Dur <= day.TS+day.Dur && ev.TS+ev.Dur > b.TS {
-					t.Errorf("day %d: shard span ends after the barrier starts", b.TID)
+				if ev.Name == "engine.shard" && ev.TS >= day.TS && ev.TS+ev.Dur <= day.TS+day.Dur {
+					shards++
+					if ev.TS+ev.Dur > b.TS {
+						t.Errorf("sketch=%v day %d: shard span ends after the barrier starts", sketched, b.TID)
+					}
 				}
+			}
+			if shards == 0 {
+				t.Errorf("sketch=%v day %d: no engine.shard span inside the day", sketched, b.TID)
+			}
+		}
+		for d := range days {
+			if perDay[d] != 1 {
+				t.Errorf("sketch=%v day %d: %d engine.barrier spans, want 1", sketched, d, perDay[d])
 			}
 		}
 	}

@@ -140,13 +140,14 @@ type ShardState interface {
 }
 
 // ShardedSink is a Sink that can aggregate through bounded per-shard
-// summaries instead of a replayed event stream. In sketch mode (see
+// summaries instead of the event stream. In sketch mode (see
 // Config.Sketch) the engine feeds each logical shard's page loads and DNS
 // queries into a ShardState and, at the day barrier, hands the states back
 // via MergeShard in ascending logical-shard order — a canonical merge
-// order, so sink contents are byte-identical at every worker count. Bot
-// batches and Begin/EndDay still arrive through the plain Sink interface,
-// on the engine goroutine.
+// order, so sink contents are byte-identical at every worker count. In
+// exact mode the engine treats it as a plain Sink. Bot batches and
+// Begin/EndDay still arrive through the plain Sink interface, on the
+// engine goroutine.
 type ShardedSink interface {
 	Sink
 	// NewShardState returns a fresh, empty per-shard accumulator.
@@ -160,13 +161,14 @@ type ShardedSink interface {
 	MergeShard(st ShardState)
 }
 
-// ParallelBarrierSink is implemented by sharded sinks whose end-of-day
-// work splits into independent parts that may run concurrently. In sketch
-// mode the engine ends such a sink's day with EndDayWorkers instead of
-// EndDay, passing the day's resolved worker count; 1 (Config.Workers 1)
-// must keep the sink's barrier serial. Sink contents must not depend on
-// workers. Sinks still end their days one after another, in registration
-// order.
+// ParallelBarrierSink is implemented by sinks whose end-of-day work splits
+// into independent parts that may run concurrently. In both modes the
+// engine ends such a sink's day with EndDayWorkers instead of EndDay,
+// passing the day's resolved worker count; 1 (Config.Workers 1) must keep
+// the sink's barrier serial, and a sink with nothing to fan out (e.g. an
+// exact-mode pipeline) may simply call EndDay. Sink contents must not
+// depend on workers. Sinks still end their days one after another, in
+// registration order.
 type ParallelBarrierSink interface {
 	EndDayWorkers(day, workers int)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"toplists/internal/simrand"
@@ -31,26 +30,17 @@ func (e *Engine) observeShardSkew(shardNS []int64) {
 	}
 }
 
-// The parallel execution model shards a day's clients into contiguous
-// ranges, one per worker. Each worker simulates its range with private
-// scratch state and a private event buffer; no sink is touched from a
-// worker goroutine. After the barrier the buffers are replayed into the
-// sinks shard by shard in ascending client order, so every sink observes
-// the exact event stream the serial engine would have produced. Determinism
-// is preserved by construction: per-client RNG streams are derived by index
-// (daySrc.At(i)), never shared, and the replay order is a pure function of
-// client IDs.
-
 // Event kind tags for dayBuffer.kinds.
 const (
 	evPageLoad uint8 = iota
 	evDNSQuery
 )
 
-// dayBuffer records, in emission order, the events one worker's client
-// shard produced. Events are stored by value in per-kind slices; kinds
-// preserves the interleaving so replay reproduces the serial call order.
-// Buffers are reused across days to keep steady-state allocations flat.
+// dayBuffer records, in emission order, the events one logical shard
+// produced for the plain sinks. Events are stored by value in per-kind
+// slices; kinds preserves the interleaving so replay reproduces the call
+// order of direct dispatch. Buffers are reused across days to keep
+// steady-state allocations flat.
 type dayBuffer struct {
 	kinds   []uint8
 	loads   []PageLoad
@@ -85,13 +75,11 @@ func (b *dayBuffer) replay(sinks []Sink) {
 }
 
 // shardOut is where simulateClientDay emits events and per-site human
-// request counts. The serial path forwards events straight to the sinks and
-// accumulates into the engine's humanReqs; a worker appends to its private
-// buffer and counts instead. In sketch mode, states carries the logical
-// shard's bounded accumulators: every event folds into them immediately,
-// and only plain (non-sharded) sinks still go through sinks/buf.
+// request counts for one logical shard. Every event folds into the shard's
+// states (sketch mode's bounded accumulators) at once; plain sinks get it
+// directly when buf is nil (one worker), or through buf for the barrier's
+// replay.
 type shardOut struct {
-	buffered  bool
 	sinks     []Sink
 	buf       *dayBuffer
 	humanReqs []int32
@@ -117,7 +105,7 @@ func (o *shardOut) pageLoad(pl *PageLoad) {
 	for _, st := range o.states {
 		st.OnPageLoad(pl)
 	}
-	if o.buffered {
+	if o.buf != nil {
 		o.buf.kinds = append(o.buf.kinds, evPageLoad)
 		o.buf.loads = append(o.buf.loads, *pl)
 		return
@@ -132,7 +120,7 @@ func (o *shardOut) dnsQuery(q *DNSQuery) {
 	for _, st := range o.states {
 		st.OnDNSQuery(q)
 	}
-	if o.buffered {
+	if o.buf != nil {
 		o.buf.kinds = append(o.buf.kinds, evDNSQuery)
 		o.buf.queries = append(o.buf.queries, *q)
 		return
@@ -140,13 +128,6 @@ func (o *shardOut) dnsQuery(q *DNSQuery) {
 	for _, s := range o.sinks {
 		s.OnDNSQuery(q)
 	}
-}
-
-// workerState is one worker's reusable per-day state.
-type workerState struct {
-	scratch   *clientScratch
-	buf       dayBuffer
-	humanReqs []int32
 }
 
 // shardRange is a half-open range [Lo, Hi) of client indices.
@@ -195,20 +176,10 @@ func (e *Engine) workerCount() int {
 	return nw
 }
 
-// ensureWorkers lazily builds (and retains across days) n worker states.
-func (e *Engine) ensureWorkers(n int) {
-	for len(e.workers) < n {
-		e.workers = append(e.workers, &workerState{
-			scratch:   newClientScratch(),
-			humanReqs: make([]int32, e.W.NumSites()),
-		})
-	}
-}
-
 // ShardPanicError reports a panic recovered inside one client shard: which
-// shard, which clients it covered, the panic value, and the stack at the
-// panic site. It propagates through RunContext instead of crashing the
-// whole run.
+// logical shard (an index into the day's fixed shards, not a worker), which
+// clients it covered, the panic value, and the stack at the panic site. It
+// propagates through RunContext instead of crashing the whole run.
 type ShardPanicError struct {
 	Day, Shard int
 	// Lo, Hi is the shard's half-open client range.
@@ -223,10 +194,9 @@ func (e *ShardPanicError) Error() string {
 		e.Day, e.Shard, e.Lo, e.Hi, e.Value, e.Stack)
 }
 
-// simulateShard runs one contiguous client range, converting a panic into
-// a *ShardPanicError and polling ctx between clients. It is the shared
-// body of the serial path (one shard spanning everyone) and each parallel
-// worker.
+// simulateShard runs one logical shard's contiguous client range,
+// converting a panic into a *ShardPanicError and polling ctx between
+// clients.
 func (e *Engine) simulateShard(ctx context.Context, shard, d int, weekend bool,
 	daySrc *simrand.Source, sc *clientScratch, out *shardOut, lo, hi int) (err error) {
 	defer func() {
@@ -244,54 +214,6 @@ func (e *Engine) simulateShard(ctx context.Context, shard, d int, weekend bool,
 			e.testHook(i, d)
 		}
 		e.simulateClientDay(&e.Clients[i], d, weekend, daySrc.At(i), sc, out)
-	}
-	return nil
-}
-
-// runDayClientsParallel simulates the day's clients across nw workers and
-// replays the buffered events into the sinks in ascending client order. On
-// error (a canceled context or a panicked shard) the buffers are not
-// replayed and the first failing shard's error — in shard order, which is
-// deterministic — is returned.
-func (e *Engine) runDayClientsParallel(ctx context.Context, d int, weekend bool, daySrc *simrand.Source, nw int) error {
-	shards := shardRanges(len(e.Clients), nw)
-	e.ensureWorkers(len(shards))
-
-	errs := make([]error, len(shards))
-	shardNS := make([]int64, len(shards))
-	var wg sync.WaitGroup
-	for w, r := range shards {
-		ws := e.workers[w]
-		ws.buf.reset()
-		for i := range ws.humanReqs {
-			ws.humanReqs[i] = 0
-		}
-		wg.Add(1)
-		go func(w int, ws *workerState, lo, hi int) {
-			defer wg.Done()
-			start := time.Now()
-			out := shardOut{buffered: true, buf: &ws.buf, humanReqs: ws.humanReqs}
-			errs[w] = e.simulateShard(ctx, w, d, weekend, daySrc, ws.scratch, &out, lo, hi)
-			out.flushCounts(&e.metrics)
-			dur := time.Since(start)
-			shardNS[w] = int64(dur)
-			e.metrics.tracer.Span("engine.shard", "engine", int64(w), start, dur)
-		}(w, ws, r.Lo, r.Hi)
-	}
-	wg.Wait()
-	e.observeShardSkew(shardNS)
-
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for w := range shards {
-		ws := e.workers[w]
-		for i, v := range ws.humanReqs {
-			e.humanReqs[i] += v
-		}
-		ws.buf.replay(e.sinks)
 	}
 	return nil
 }

@@ -214,7 +214,7 @@ func TestSimulateClientDayAllocsFlat(t *testing.T) {
 	e.SetObs(obs.NewRegistry())
 	sc := newClientScratch()
 	var buf dayBuffer
-	out := shardOut{buffered: true, buf: &buf, humanReqs: make([]int32, w.NumSites())}
+	out := shardOut{buf: &buf, humanReqs: make([]int32, w.NumSites())}
 	daySrc := e.root.Derive("day").At(0)
 
 	run := func() {

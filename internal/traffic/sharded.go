@@ -9,34 +9,38 @@ import (
 	"toplists/internal/simrand"
 )
 
-// Sketch-mode execution model. The day's clients are split into
-// Cfg.Sketch.Shards fixed LOGICAL shards — a pure function of the
-// population size, independent of the worker count. Workers pull logical
-// shards from a shared counter; each shard's events fold into bounded
-// per-shard accumulators (one ShardState per ShardedSink) instead of an
-// event buffer. After the barrier the engine merges the states into the
-// sinks in ascending logical-shard order — a canonical order, so sink
-// contents are byte-identical whether one worker processed all shards or
-// eight workers raced through them. Sinks that do not implement ShardedSink
-// still get the exact replayed event stream via a per-shard buffer.
+// The day scheduler. The day's clients are split into a fixed number of
+// LOGICAL shards, Cfg.Sketch.WithDefaults().Shards — a pure function of the
+// population size, independent of the worker count and of the mode.
+// Workers pull logical shards from a shared counter. In sketch mode each
+// shard's events fold into bounded per-shard accumulators (one ShardState
+// per ShardedSink); every other sink is plain and sees the exact event
+// stream. With one worker the shards run in ascending order and plain
+// sinks get their events directly; with more, each shard buffers them for
+// replay. The day barrier then hands the shards to the sinks in ascending
+// logical-shard order — a canonical order, so sink contents are
+// byte-identical whether one worker processed all shards or eight workers
+// raced through them. Per-client RNG streams are derived by index
+// (daySrc.At(i)), never shared, so no shard's draws depend on another's.
 
 // logicalShard is the reusable per-day state of one logical shard.
 type logicalShard struct {
 	scratch   *clientScratch
 	states    []ShardState // parallel to Engine.shardedSinks
-	buf       dayBuffer    // events for plain (non-sharded) sinks
+	buf       dayBuffer    // events for plain sinks when workers run in parallel
 	humanReqs []int32
 }
 
-// splitSinks partitions the registered sinks once: sharded sinks aggregate
-// through ShardStates, the rest through buffered replay.
+// splitSinks partitions the registered sinks once: in sketch mode sharded
+// sinks aggregate through ShardStates; every other sink is plain. This is
+// the only place the engine looks at the mode.
 func (e *Engine) splitSinks() {
 	if e.sinksSplit {
 		return
 	}
 	e.sinksSplit = true
 	for _, s := range e.sinks {
-		if ss, ok := s.(ShardedSink); ok {
+		if ss, ok := s.(ShardedSink); ok && e.Cfg.Sketch.Enabled {
 			e.shardedSinks = append(e.shardedSinks, ss)
 		} else {
 			e.plainSinks = append(e.plainSinks, s)
@@ -58,33 +62,28 @@ func (e *Engine) ensureLogical(n int) {
 	}
 }
 
-// runDayClientsSharded simulates the day's clients over the fixed logical
-// shards. nw bounds the number of concurrent workers; every value of nw
-// produces byte-identical shard states. The barrier (mergeShards, the
-// day's bots, EndDay, resetShards) follows in runDay.
-func (e *Engine) runDayClientsSharded(ctx context.Context, d int, weekend bool, daySrc *simrand.Source, nw int) error {
+// runDayClients simulates the day's clients over the fixed logical shards.
+// nw bounds the number of concurrent workers; every value of nw produces
+// byte-identical sink contents. On error (a canceled context or a
+// panicked shard) the first failing shard's error — in shard order, which
+// is deterministic — is returned. The barrier (mergeShards, the day's
+// bots, EndDay, resetShards) follows in runDay.
+func (e *Engine) runDayClients(ctx context.Context, d int, weekend bool, daySrc *simrand.Source, nw int) error {
 	e.splitSinks()
-	shards := shardRanges(len(e.Clients), e.Cfg.Sketch.Shards)
+	shards := shardRanges(len(e.Clients), e.Cfg.Sketch.WithDefaults().Shards)
 	e.ensureLogical(len(shards))
-	if nw > len(shards) {
-		nw = len(shards)
-	}
+	nw = min(nw, len(shards))
 
 	errs := make([]error, len(shards))
 	shardNS := make([]int64, len(shards))
-	buffered := len(e.plainSinks) > 0
 	runShard := func(si int) {
 		ls := e.logical[si]
 		ls.buf.reset()
-		for i := range ls.humanReqs {
-			ls.humanReqs[i] = 0
-		}
+		clear(ls.humanReqs)
 		start := time.Now()
-		out := shardOut{
-			buffered:  buffered,
-			buf:       &ls.buf,
-			humanReqs: ls.humanReqs,
-			states:    ls.states,
+		out := shardOut{sinks: e.plainSinks, humanReqs: ls.humanReqs, states: ls.states}
+		if nw > 1 && len(e.plainSinks) > 0 {
+			out.buf = &ls.buf
 		}
 		errs[si] = e.simulateShard(ctx, si, d, weekend, daySrc, ls.scratch, &out, shards[si].Lo, shards[si].Hi)
 		out.flushCounts(&e.metrics)
@@ -124,11 +123,11 @@ func (e *Engine) runDayClientsSharded(ctx context.Context, d int, weekend bool, 
 	return nil
 }
 
-// mergeShards is the first step of the sketch-mode day barrier: in
-// ascending logical-shard order, hand each shard's states to the sharded
-// sinks and replay its buffered events into the rest.
+// mergeShards is the first step of the day barrier: in ascending
+// logical-shard order, hand each shard's states to the sharded sinks and
+// replay its buffered events (none when one worker ran the day) into the
+// plain sinks.
 func (e *Engine) mergeShards() {
-	buffered := len(e.plainSinks) > 0
 	for _, ls := range e.logical {
 		for i, v := range ls.humanReqs {
 			e.humanReqs[i] += v
@@ -136,9 +135,7 @@ func (e *Engine) mergeShards() {
 		for j, ss := range e.shardedSinks {
 			ss.MergeShard(ls.states[j])
 		}
-		if buffered {
-			ls.buf.replay(e.plainSinks)
-		}
+		ls.buf.replay(e.plainSinks)
 	}
 }
 

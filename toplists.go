@@ -59,8 +59,8 @@ type Config struct {
 	// day, and also the size of the worker pool RenderAll and
 	// RunExperiments evaluate experiments on: 0 uses one per CPU, 1 forces
 	// the serial path. Results are bit-identical for every setting —
-	// simulation workers emit into per-shard buffers that are replayed to
-	// observers in client order, and evaluation results are emitted in
+	// simulation workers run a fixed set of client shards that are handed
+	// to observers in client order, and evaluation results are emitted in
 	// canonical paper order regardless of completion order.
 	Workers int
 	// CruxMinVisitors is the CrUX per-country privacy threshold.
